@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..dataframe import DataFrame
-from ..rdf.terms import Literal, Node, URIRef
+from ..rdf.terms import Node, URIRef
 from ..sparql.results import term_to_python
 
 
@@ -108,10 +108,3 @@ def compatible_merge(left: DataFrame, right: DataFrame,
 
 def is_uri_mask(values) -> List[bool]:
     return [isinstance(v, URIRef) for v in values]
-
-
-def literal_value(term):
-    """Python value of a term (keeps plain values untouched)."""
-    if isinstance(term, Literal):
-        return term.value
-    return term

@@ -22,10 +22,6 @@ from .conditions import rename_variable
 TripleText = Tuple[str, str, str]
 
 
-def is_variable(term: str) -> bool:
-    return term.startswith("?")
-
-
 def variable_name(term: str) -> str:
     return term[1:] if term.startswith("?") else term
 

@@ -60,11 +60,11 @@ from .expressions import ExpressionError, VarExpr, ebv
 from .optimizer import (GraphStatistics, generic_join_order,
                         intersection_worthwhile, order_patterns,
                         run_signature, run_width)
-from .solution import (ColumnBatch, RowView, SolutionTable, TableStream,
-                       _merge_plan, _merge_rows, _rows_compatible, batched,
-                       stream_distinct, table_distinct, table_join,
-                       table_left_join, table_minus, table_project,
-                       table_union)
+from .solution import (ColumnBatch, ProbeIndex, RowView, SolutionTable,
+                       TableStream, _merge_plan, batched, probe_join,
+                       probe_left_join, stream_distinct, table_distinct,
+                       table_join, table_left_join, table_minus,
+                       table_project, table_union)
 from .vector import compile_predicate, expand_columns, replicate
 
 #: Target rows per streamed batch.  Bounded consumers shrink it (a
@@ -162,6 +162,11 @@ class EvaluationStats:
         self.vector_batches = 0
         self.selection_vector_hits = 0
         self.row_fallbacks = 0
+        # ``join_candidates`` counts the build rows the join probe kernel
+        # (:class:`~.solution.ProbeIndex`) handed back across all probes
+        # of Join, LeftJoin, MINUS and EXISTS — the operators' work, which
+        # stays linear in their inputs plus output.
+        self.join_candidates = 0
 
     def __repr__(self):
         return ("EvaluationStats(bgps=%d, cache_hits=%d, matches=%d, "
@@ -169,7 +174,8 @@ class EvaluationStats:
                 "early_exits=%d, peak_batch=%d, groups=%d, acc_rows=%d, "
                 "sip_filtered=%d, intersects=%d, runs_built=%d, "
                 "wcoj=%d, synopses=%d, "
-                "vector_batches=%d, sel_hits=%d, fallbacks=%d)" % (
+                "vector_batches=%d, sel_hits=%d, fallbacks=%d, "
+                "join_candidates=%d)" % (
                     self.bgp_count, self.bgp_cache_hits,
                     self.pattern_matches, self.intermediate_rows,
                     self.materialized_subqueries, self.joins,
@@ -179,7 +185,7 @@ class EvaluationStats:
                     self.intersect_steps, self.sorted_runs_built,
                     self.wcoj_steps, self.synopsis_builds,
                     self.vector_batches, self.selection_vector_hits,
-                    self.row_fallbacks))
+                    self.row_fallbacks, self.join_candidates))
 
     def as_dict(self) -> Dict[str, int]:
         return {"bgp_count": self.bgp_count,
@@ -200,7 +206,8 @@ class EvaluationStats:
                 "synopsis_builds": self.synopsis_builds,
                 "vector_batches": self.vector_batches,
                 "selection_vector_hits": self.selection_vector_hits,
-                "row_fallbacks": self.row_fallbacks}
+                "row_fallbacks": self.row_fallbacks,
+                "join_candidates": self.join_candidates}
 
 
 class Evaluator:
@@ -982,7 +989,7 @@ class Evaluator:
             return SolutionTable(left.variables + tuple(
                 v for v in right.variables if v not in left.index))
         self.stats.joins += 1
-        return table_join(left, right)
+        return table_join(left, right, self.stats)
 
     def _eval_leftjoin(self, node: alg.LeftJoin, graph) -> SolutionTable:
         left = self.evaluate(node.left, graph)
@@ -997,16 +1004,18 @@ class Evaluator:
         finally:
             self._sip = outer
         self.stats.joins += 1
-        if node.condition is None:
-            return table_left_join(left, right)
-        # LeftJoin with a condition: candidates are found by the same
-        # hash-partitioning as the unconditional join; the condition is
-        # evaluated lazily (terms decoded on access) within buckets only.
-        out_vars = left.variables + tuple(
-            v for v in right.variables if v not in left.index)
+        accept = self._leftjoin_accept(node, _merge_plan(left, right)[0])
+        return table_left_join(left, right, accept, self.stats)
+
+    def _leftjoin_accept(self, node: alg.LeftJoin, out_vars):
+        """The LeftJoin condition as a predicate on merged rows (``None``
+        without one), evaluated lazily — terms decoded on access — and
+        only on the compatible rows the probe kernel hands back."""
+        condition = node.condition
+        if condition is None:
+            return None
         out_index = {v: i for i, v in enumerate(out_vars)}
         decode = self.dictionary.decode
-        condition = node.condition
 
         def accept(merged_row) -> bool:
             try:
@@ -1015,7 +1024,7 @@ class Evaluator:
             except ExpressionError:
                 return False
 
-        return table_left_join(left, right, accept=accept)
+        return accept
 
     def _eval_union(self, node: alg.Union, graph) -> SolutionTable:
         return table_union(self.evaluate(node.left, graph),
@@ -1483,7 +1492,7 @@ class Evaluator:
             right = self.evaluate(node.right, graph)
         finally:
             self._sip = outer
-        return table_minus(left, right)
+        return table_minus(left, right, self.stats)
 
     def _eval_filterexists(self, node: alg.FilterExists, graph
                            ) -> SolutionTable:
@@ -1502,17 +1511,10 @@ class Evaluator:
             inner = self.evaluate(node.group, graph)
         finally:
             self._sip = outer
-        shared = [(table.index[v], inner.index[v])
-                  for v in inner.variables if v in table.index]
-        rows = []
-        inner_rows = inner.rows
-        negated = node.negated
-        for row in table.rows:
-            exists = any(_rows_compatible(row, other, shared)
-                         for other in inner_rows)
-            if exists != negated:
-                rows.append(row)
-        return SolutionTable(table.variables, rows)
+        _, shared, _ = _merge_plan(table, inner)
+        index = ProbeIndex(inner.rows, shared, self.stats)
+        return SolutionTable(table.variables,
+                             index.semijoin(table.rows, node.negated))
 
     # ==================================================================
     # Streaming execution — the pipelined batch-iterator plane
@@ -2895,18 +2897,8 @@ class Evaluator:
             right = self.stream(node.right, graph, None)
         self.stats.joins += 1
         out_vars, shared, right_only = _merge_plan(left, right)
-        lkey = [lp for lp, _ in shared]
-        rkey = [rp for _, rp in shared]
-        index: Dict[Tuple, List[tuple]] = {}
-        loose: List[tuple] = []
-        for lrow in left.rows:
-            key = tuple(lrow[p] for p in lkey)
-            if None in key:
-                loose.append(lrow)
-            else:
-                index.setdefault(key, []).append(lrow)
-        left_rows = left.rows
-
+        index = ProbeIndex(left.rows, [(rp, lp) for lp, rp in shared],
+                           self.stats)
         to_rows_fb = self._rows
 
         def batches():
@@ -2914,26 +2906,8 @@ class Evaluator:
                 if type(batch) is ColumnBatch:
                     batch = to_rows_fb(batch)
                 out: List[tuple] = []
-                append = out.append
-                for rrow in batch:
-                    if not shared:
-                        extra = tuple(rrow[rp] for rp in right_only)
-                        for lrow in left_rows:
-                            append(lrow + extra)
-                        continue
-                    key = tuple(rrow[p] for p in rkey)
-                    if None in key:
-                        for lrow in left_rows:
-                            if _rows_compatible(lrow, rrow, shared):
-                                append(_merge_rows(lrow, rrow, shared,
-                                                   right_only))
-                        continue
-                    for lrow in index.get(key, ()):
-                        append(_merge_rows(lrow, rrow, shared, right_only))
-                    for lrow in loose:
-                        if _rows_compatible(lrow, rrow, shared):
-                            append(_merge_rows(lrow, rrow, shared,
-                                               right_only))
+                probe_join(index, batch, shared, right_only, True,
+                           out.append)
                 if out:
                     yield out
 
@@ -2955,32 +2929,8 @@ class Evaluator:
             self._sip = outer
         self.stats.joins += 1
         out_vars, shared, right_only = _merge_plan(left, right)
-        condition = node.condition
-        accept = None
-        if condition is not None:
-            out_index = {v: i for i, v in enumerate(out_vars)}
-            decode = self.dictionary.decode
-
-            def accept(merged_row) -> bool:
-                try:
-                    return ebv(condition.evaluate(
-                        RowView(out_index, merged_row, decode)))
-                except ExpressionError:
-                    return False
-
-        pad = (None,) * len(right_only)
-        lkey = [lp for lp, _ in shared]
-        rkey = [rp for _, rp in shared]
-        index: Dict[Tuple, List[tuple]] = {}
-        loose: List[tuple] = []
-        for rrow in right.rows:
-            key = tuple(rrow[p] for p in rkey)
-            if None in key:
-                loose.append(rrow)
-            else:
-                index.setdefault(key, []).append(rrow)
-        right_rows = right.rows
-
+        accept = self._leftjoin_accept(node, out_vars)
+        index = ProbeIndex(right.rows, shared, self.stats)
         to_rows_fb = self._rows
 
         def batches():
@@ -2988,28 +2938,8 @@ class Evaluator:
                 if type(batch) is ColumnBatch:
                     batch = to_rows_fb(batch)
                 out: List[tuple] = []
-                append = out.append
-                for lrow in batch:
-                    matched = False
-                    if not shared:
-                        candidates = right_rows
-                    else:
-                        key = tuple(lrow[p] for p in lkey)
-                        if None in key:
-                            candidates = right_rows
-                        else:
-                            bucket = index.get(key)
-                            candidates = bucket + loose if bucket else loose
-                    for rrow in candidates:
-                        if shared and not _rows_compatible(lrow, rrow,
-                                                           shared):
-                            continue
-                        merged = _merge_rows(lrow, rrow, shared, right_only)
-                        if accept is None or accept(merged):
-                            append(merged)
-                            matched = True
-                    if not matched:
-                        append(lrow + pad)
+                probe_left_join(index, batch, shared, right_only, accept,
+                                out.append)
                 if out:
                     yield out
 
@@ -3042,20 +2972,16 @@ class Evaluator:
                 self._sip = scope
         else:
             outer = self.stream(node.pattern, graph, hint)
-        shared = [(outer.index[v], inner.index[v])
-                  for v in inner.variables if v in outer.index]
-        inner_rows = inner.rows
+        _, shared, _ = _merge_plan(outer, inner)
+        index = ProbeIndex(inner.rows, shared, self.stats)
         negated = node.negated
-
         to_rows_fb = self._rows
 
         def batches():
             for batch in outer.batches:
                 if type(batch) is ColumnBatch:
                     batch = to_rows_fb(batch)
-                keep = [row for row in batch
-                        if any(_rows_compatible(row, other, shared)
-                               for other in inner_rows) != negated]
+                keep = index.semijoin(batch, negated)
                 if keep:
                     yield keep
 

@@ -22,7 +22,8 @@ mappings.  This module implements those definitions twice:
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -675,287 +676,275 @@ def _merge_plan(left: SolutionTable, right: SolutionTable):
     return out_vars, shared, right_only
 
 
-def _merge_rows(lrow: Row, rrow: Row, shared, right_only) -> Row:
-    """Union of two compatible rows in the merged schema."""
-    if shared:
-        merged = list(lrow)
-        for lp, rp in shared:
-            if merged[lp] is None:
-                merged[lp] = rrow[rp]
-        merged.extend(rrow[rp] for rp in right_only)
-        return tuple(merged)
-    return lrow + tuple(rrow[rp] for rp in right_only)
-
-
-def _rows_compatible(lrow: Row, rrow: Row, shared) -> bool:
+def _fill(lrow: Row, rrow: Row, shared) -> Row:
+    """``lrow`` with its unbound shared cells taken from ``rrow``."""
+    merged = list(lrow)
     for lp, rp in shared:
-        a = lrow[lp]
-        if a is None:
-            continue
-        b = rrow[rp]
-        if b is not None and a != b:
-            return False
-    return True
+        if merged[lp] is None:
+            merged[lp] = rrow[rp]
+    return tuple(merged)
 
 
-def _always_bound_pairs(left_rows: List[Row], right_rows: List[Row],
-                        shared) -> Tuple[list, list]:
-    """Split shared column pairs into (always bound on both sides,
-    residual).  Mirrors the dict implementation's ``_always_bound``."""
-    keys = []
-    residual = []
-    for lp, rp in shared:
-        if all(row[lp] is not None for row in left_rows) and \
-                all(row[rp] is not None for row in right_rows):
-            keys.append((lp, rp))
+# -- the probe kernel --------------------------------------------------
+
+class _Tally:
+    __slots__ = ("join_candidates",)
+
+    def __init__(self):
+        self.join_candidates = 0
+
+
+def _buckets(keys: Iterable, rows: Sequence[Row]) -> Dict[object, List[Row]]:
+    """Group ``rows`` by their ``keys`` (aligned), keeping row order."""
+    table: Dict[object, List[Row]] = {}
+    for key, row in zip(keys, rows):
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [row]
         else:
-            residual.append((lp, rp))
-    return keys, residual
+            bucket.append(row)
+    return table
+
+
+#: Plan-step marker: the partition shares no bound column with the probe,
+#: so every one of its rows is compatible.
+_WHOLE = object()
+
+
+class ProbeIndex:
+    """The hash probe behind every join-shaped operator.
+
+    Join, LeftJoin, MINUS and FILTER (NOT) EXISTS, on the materialized and
+    the streaming executor alike, find the build rows compatible with a
+    probe row here.  ``pairs`` lists the shared columns as
+    ``(probe_pos, build_pos)``.
+
+    A row's *mask* is the subset of shared columns it binds.  The build
+    rows are partitioned by mask once, at construction; almost always
+    there is a single partition, whose mask is the set of columns bound in
+    every build row.  A probe row with mask ``m`` is compatible with a
+    build row with mask ``b`` exactly when the two agree on ``m & b``, so
+    each partition answers a probe with one hash lookup keyed on those
+    columns, and every row it hands back is compatible as it stands.  The
+    dict for a (partition, key columns) pair is built on the first probe
+    that needs it and cached, so there are usually one or two; only the
+    full-key dict of a build side bound everywhere is built up front.  A
+    partition hands back all its rows only when ``m & b`` is empty; then
+    each of them is compatible, so that scan is output, not waste.
+
+    Within a partition rows come back in build order; partitions in the
+    order their first row was built.  ``stats.join_candidates`` (when a
+    stats object is given) counts the rows handed back.
+    """
+
+    __slots__ = ("_key", "_wide", "_full", "_bpos", "_parts", "_plans",
+                 "_dicts", "_fast", "stats")
+
+    def __init__(self, build_rows: Sequence[Row], pairs, stats=None):
+        n = len(pairs)
+        self._wide = n != 1
+        self._full = tuple(range(n))
+        self._bpos = [bp for _, bp in pairs]
+        self._key = itemgetter(*[pp for pp, _ in pairs]) if n else \
+            (lambda row: ())
+        self.stats = _Tally() if stats is None else stats
+        self._plans: Dict[tuple, list] = {}
+        self._dicts: Dict[tuple, dict] = {}
+        # The common case — every shared column bound in every build row
+        # — is one partition, and a fully bound probe is one lookup in
+        # ``_fast``, built here from the keys the partitioning computes.
+        self._fast: Optional[dict] = None
+        build_key = itemgetter(*self._bpos) if n else (lambda row: ())
+        keys = list(map(build_key, build_rows))
+        if None not in (keys if n == 1 else chain.from_iterable(keys)):
+            self._parts = [(self._full, build_rows)] if build_rows else []
+            self._fast = self._dicts[(self._full, self._full)] = \
+                _buckets(keys, build_rows)
+        else:
+            self._parts = list(
+                _buckets(map(self._mask, keys), build_rows).items())
+
+    def _mask(self, key) -> tuple:
+        if key is None:
+            return ()
+        if self._wide and None in key:
+            return tuple([i for i, v in enumerate(key) if v is not None])
+        return self._full
+
+    def _plan(self, mask: tuple) -> list:
+        """Per partition: how a probe with ``mask`` looks it up —
+        ``(_WHOLE, rows)``, or ``(getter, dict)`` where ``getter`` turns
+        the probe key into the dict key (``None``: the key as it is)."""
+        plan = []
+        for pmask, rows in self._parts:
+            cols = tuple([i for i in mask if i in pmask])
+            if not cols:
+                plan.append((_WHOLE, rows))
+                continue
+            table = self._dicts.get((pmask, cols))
+            if table is None:
+                build_key = itemgetter(*[self._bpos[i] for i in cols])
+                table = self._dicts[(pmask, cols)] = _buckets(
+                    map(build_key, rows), rows)
+            plan.append((None if len(cols) == len(self._full)
+                         else itemgetter(*cols), table))
+        self._plans[mask] = plan
+        return plan
+
+    def _lookup(self, key, overlap: bool = False) -> Sequence[Row]:
+        """The build rows compatible with a probe whose shared cells are
+        ``key``; with ``overlap``, only those binding a shared column the
+        probe binds too."""
+        mask = self._mask(key)
+        plan = self._plans.get(mask)
+        if plan is None:
+            plan = self._plan(mask)
+        hits: Sequence[Row] = ()
+        for getter, table in plan:
+            if getter is _WHOLE:
+                if overlap:
+                    continue
+                found = table
+            else:
+                found = table.get(key if getter is None else getter(key))
+                if not found:
+                    continue
+            hits = found if not hits else hits + found
+        return hits
+
+    def probe(self, rows: Sequence[Row]) -> List[Sequence[Row]]:
+        """For each probe row, in order, the build rows compatible with
+        it."""
+        keys = list(map(self._key, rows))
+        fast = self._fast
+        wide = self._wide
+        if fast is not None and None not in (
+                chain.from_iterable(keys) if wide else keys):
+            hits = list(map(fast.get, keys, repeat((), len(keys))))
+        else:
+            lookup = self._lookup
+            hits = [lookup(key) if fast is None or key is None
+                    or (wide and None in key) else fast.get(key, ())
+                    for key in keys]
+        self.stats.join_candidates += sum(map(len, hits))
+        return hits
+
+    def semijoin(self, rows: Iterable[Row], anti: bool = False,
+                 overlap: bool = False) -> List[Row]:
+        """The probe rows with a compatible build row — FILTER EXISTS —
+        or, with ``anti``, those without one — NOT EXISTS.  With
+        ``overlap`` a build row only counts when it also binds a shared
+        column the probe binds: ``anti`` plus ``overlap`` is MINUS.  Each
+        probe with a match counts one candidate."""
+        key_of = self._key
+        lookup = self._lookup
+        kept: List[Row] = []
+        found = 0
+        for row in rows:
+            if lookup(key_of(row), overlap):
+                found += 1
+                if not anti:
+                    kept.append(row)
+            elif anti:
+                kept.append(row)
+        self.stats.join_candidates += found
+        return kept
+
+
+def probe_join(index: ProbeIndex, probe_rows: Sequence[Row], shared,
+               right_only, build_left: bool, append) -> None:
+    """Join each probe row with its matches in ``index`` and ``append``
+    the merged rows (left columns first, then the right-only ones).
+    ``build_left`` says which side the index was built on."""
+    if build_left:
+        for rrow, hits in zip(probe_rows, index.probe(probe_rows)):
+            if hits:
+                extra = tuple([rrow[rp] for rp in right_only])
+                for lrow in hits:
+                    append((lrow if None not in lrow
+                            else _fill(lrow, rrow, shared)) + extra)
+        return
+    for lrow, hits in zip(probe_rows, index.probe(probe_rows)):
+        if hits:
+            bound = None not in lrow
+            for rrow in hits:
+                append((lrow if bound else _fill(lrow, rrow, shared))
+                       + tuple([rrow[rp] for rp in right_only]))
+
+
+def probe_left_join(index: ProbeIndex, left_rows: Sequence[Row], shared,
+                    right_only, accept, append) -> None:
+    """SPARQL LeftJoin of each left row against ``index`` (built on the
+    right side): ``append`` every merged row ``accept`` admits (all of
+    them when ``accept`` is ``None``), or the left row padded with
+    ``None`` when none is admitted."""
+    pad = (None,) * len(right_only)
+    for lrow, hits in zip(left_rows, index.probe(left_rows)):
+        if hits:
+            bound = None not in lrow
+            matched = False
+            for rrow in hits:
+                merged = (lrow if bound else _fill(lrow, rrow, shared)) \
+                    + tuple([rrow[rp] for rp in right_only])
+                if accept is None or accept(merged):
+                    append(merged)
+                    matched = True
+            if matched:
+                continue
+        append(lrow + pad)
 
 
 # -- operators ---------------------------------------------------------
 
-def table_join(left: SolutionTable, right: SolutionTable) -> SolutionTable:
-    """Join two solution tables on their shared schema variables.
-
-    Same strategy as :func:`hash_join`: hash on the shared columns bound in
-    every row of both sides, verify residual shared columns within each
-    bucket, and fall back to a fully-bound/loose partition when no shared
-    column is universally bound.
-    """
+def table_join(left: SolutionTable, right: SolutionTable,
+               stats=None) -> SolutionTable:
+    """Join two solution tables on their shared schema variables: a
+    :class:`ProbeIndex` on the smaller side, probed with the larger."""
     out_vars, shared, right_only = _merge_plan(left, right)
     out = SolutionTable(out_vars)
     if not left.rows or not right.rows:
         return out
-    if not shared:
-        rows = out.rows
-        for lrow in left.rows:
-            for rrow in right.rows:
-                rows.append(lrow + tuple(rrow[rp] for rp in right_only))
-        return out
-
-    keys, residual = _always_bound_pairs(left.rows, right.rows, shared)
-    if not keys:
-        _loose_table_join(left, right, shared, right_only, out)
-        return out
-
-    # Build the hash table on the smaller side, probe with the larger.
-    build_left = len(left.rows) <= len(right.rows)
-    if build_left:
-        build_rows, probe_rows = left.rows, right.rows
-        build_key = [lp for lp, _ in keys]
-        probe_key = [rp for _, rp in keys]
+    if len(left.rows) <= len(right.rows):
+        index = ProbeIndex(left.rows, [(rp, lp) for lp, rp in shared], stats)
+        probe_join(index, right.rows, shared, right_only, True,
+                   out.rows.append)
     else:
-        build_rows, probe_rows = right.rows, left.rows
-        build_key = [rp for _, rp in keys]
-        probe_key = [lp for lp, _ in keys]
-
-    index: Dict = {}
-    if len(build_key) == 1:
-        # Scalar keys: no per-row tuple construction.
-        bk, pk = build_key[0], probe_key[0]
-        for row in build_rows:
-            index.setdefault(row[bk], []).append(row)
-        probe_keys = ((probe, probe[pk]) for probe in probe_rows)
-    else:
-        for row in build_rows:
-            index.setdefault(tuple(row[p] for p in build_key), []).append(row)
-        probe_keys = ((probe, tuple(probe[p] for p in probe_key))
-                      for probe in probe_rows)
-
-    rows = out.rows
-    fast_merge = not residual  # keys + residual partition shared
-    for probe, key in probe_keys:
-        bucket = index.get(key)
-        if not bucket:
-            continue
-        if fast_merge:
-            # Every shared column is an always-bound key: the merged row is
-            # the left row plus the right-only columns, no None filling.
-            if build_left:
-                extra = tuple([probe[rp] for rp in right_only])
-                for other in bucket:
-                    rows.append(other + extra)
-            else:
-                for other in bucket:
-                    rows.append(probe + tuple([other[rp]
-                                               for rp in right_only]))
-            continue
-        for other in bucket:
-            if build_left:
-                lrow, rrow = other, probe
-            else:
-                lrow, rrow = probe, other
-            if not residual or _rows_compatible(lrow, rrow, residual):
-                rows.append(_merge_rows(lrow, rrow, shared, right_only))
+        index = ProbeIndex(right.rows, shared, stats)
+        probe_join(index, left.rows, shared, right_only, False,
+                   out.rows.append)
     return out
 
 
-def _loose_table_join(left: SolutionTable, right: SolutionTable,
-                      shared, right_only, out: SolutionTable) -> None:
-    """Fallback when no shared column is universally bound: partition the
-    left side on fully-bound keys and nested-loop the rest."""
-    lkey = [lp for lp, _ in shared]
-    rkey = [rp for _, rp in shared]
-    index: Dict[Tuple, List[Row]] = {}
-    loose: List[Row] = []
-    for lrow in left.rows:
-        key = tuple(lrow[p] for p in lkey)
-        if None in key:
-            loose.append(lrow)
-        else:
-            index.setdefault(key, []).append(lrow)
-    rows = out.rows
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rkey)
-        if None in key:
-            for lrow in left.rows:
-                if _rows_compatible(lrow, rrow, shared):
-                    rows.append(_merge_rows(lrow, rrow, shared, right_only))
-            continue
-        for lrow in index.get(key, ()):
-            rows.append(_merge_rows(lrow, rrow, shared, right_only))
-        for lrow in loose:
-            if _rows_compatible(lrow, rrow, shared):
-                rows.append(_merge_rows(lrow, rrow, shared, right_only))
-
-
 def table_left_join(left: SolutionTable, right: SolutionTable,
-                    accept: Optional[Callable[[Row], bool]] = None
-                    ) -> SolutionTable:
+                    accept: Optional[Callable[[Row], bool]] = None,
+                    stats=None) -> SolutionTable:
     """SPARQL LeftJoin on solution tables: every left row survives;
     compatible right rows extend it, otherwise the left row passes through
     padded with ``None``.
 
     ``accept``, when given, is the LeftJoin *condition* evaluated on each
     merged candidate row (in the output schema): the extension only counts
-    as a match when ``accept`` returns True.  Candidates are still found by
-    hash-partitioning on the always-bound shared columns — the condition is
-    evaluated only within buckets, never over the full cross product.
+    as a match when ``accept`` returns True.  It is evaluated only on the
+    compatible rows the :class:`ProbeIndex` hands back, never over the
+    full cross product.
     """
     out_vars, shared, right_only = _merge_plan(left, right)
     out = SolutionTable(out_vars)
-    rows = out.rows
-    pad = (None,) * len(right_only)
-    if not right.rows:
-        for lrow in left.rows:
-            rows.append(lrow + pad)
-        return out
-    if not shared:
-        for lrow in left.rows:
-            matched = False
-            for rrow in right.rows:
-                merged = lrow + tuple(rrow[rp] for rp in right_only)
-                if accept is None or accept(merged):
-                    rows.append(merged)
-                    matched = True
-            if not matched:
-                rows.append(lrow + pad)
-        return out
-
-    keys, residual = _always_bound_pairs(left.rows, right.rows, shared)
-    if not keys:
-        _loose_table_left_join(left, right, shared, right_only, pad,
-                               accept, out)
-        return out
-
-    lkey = [lp for lp, _ in keys]
-    rkey = [rp for _, rp in keys]
-    index: Dict = {}
-    if len(keys) == 1:
-        rk, lk = rkey[0], lkey[0]
-        for rrow in right.rows:
-            index.setdefault(rrow[rk], []).append(rrow)
-        left_keys = ((lrow, lrow[lk]) for lrow in left.rows)
-    else:
-        for rrow in right.rows:
-            index.setdefault(tuple(rrow[p] for p in rkey), []).append(rrow)
-        left_keys = ((lrow, tuple(lrow[p] for p in lkey))
-                     for lrow in left.rows)
-
-    fast_merge = not residual and accept is None
-    for lrow, key in left_keys:
-        bucket = index.get(key)
-        if bucket:
-            if fast_merge:
-                for rrow in bucket:
-                    rows.append(lrow + tuple([rrow[rp]
-                                              for rp in right_only]))
-                continue
-            matched = False
-            for rrow in bucket:
-                if residual and not _rows_compatible(lrow, rrow, residual):
-                    continue
-                merged = _merge_rows(lrow, rrow, shared, right_only)
-                if accept is None or accept(merged):
-                    rows.append(merged)
-                    matched = True
-            if matched:
-                continue
-        rows.append(lrow + pad)
+    probe_left_join(ProbeIndex(right.rows, shared, stats), left.rows,
+                    shared, right_only, accept, out.rows.append)
     return out
 
 
-def _loose_table_left_join(left: SolutionTable, right: SolutionTable,
-                           shared, right_only, pad,
-                           accept, out: SolutionTable) -> None:
-    lkey = [lp for lp, _ in shared]
-    rkey = [rp for _, rp in shared]
-    index: Dict[Tuple, List[Row]] = {}
-    loose: List[Row] = []
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rkey)
-        if None in key:
-            loose.append(rrow)
-        else:
-            index.setdefault(key, []).append(rrow)
-    rows = out.rows
-    for lrow in left.rows:
-        key = tuple(lrow[p] for p in lkey)
-        matched = False
-        if None in key:
-            candidates: Iterable[Row] = right.rows
-        else:
-            candidates = list(index.get(key, ())) + loose
-        for rrow in candidates:
-            if not _rows_compatible(lrow, rrow, shared):
-                continue
-            merged = _merge_rows(lrow, rrow, shared, right_only)
-            if accept is None or accept(merged):
-                rows.append(merged)
-                matched = True
-        if not matched:
-            rows.append(lrow + pad)
-
-
-def table_minus(left: SolutionTable, right: SolutionTable) -> SolutionTable:
+def table_minus(left: SolutionTable, right: SolutionTable,
+                stats=None) -> SolutionTable:
     """Rows of ``left`` with no compatible row in ``right`` sharing at
     least one *bound* variable — SPARQL MINUS semantics."""
     _, shared, _ = _merge_plan(left, right)
     if not shared or not right.rows:
         return SolutionTable(left.variables, list(left.rows))
-    out = SolutionTable(left.variables)
-    rows = out.rows
-    for lrow in left.rows:
-        excluded = False
-        for rrow in right.rows:
-            overlap = False
-            compatible = True
-            for lp, rp in shared:
-                a = lrow[lp]
-                b = rrow[rp]
-                if a is None or b is None:
-                    continue
-                if a != b:
-                    compatible = False
-                    break
-                overlap = True
-            if compatible and overlap:
-                excluded = True
-                break
-        if not excluded:
-            rows.append(lrow)
-    return out
+    index = ProbeIndex(right.rows, shared, stats)
+    return SolutionTable(left.variables,
+                         index.semijoin(left.rows, anti=True, overlap=True))
 
 
 def table_project(table: SolutionTable,

@@ -66,11 +66,6 @@ def replicate_mask(mask: bytearray, counts) -> bytearray:
     return out
 
 
-def tile(col: list, times: int) -> list:
-    """The whole column repeated ``times`` times (constant fan-out)."""
-    return col * times
-
-
 def expand_columns(cb: ColumnBatch, counts, new: list) -> ColumnBatch:
     """Attach ``new`` as a fresh column of ``cb``, repeating each parent
     row ``counts[i]`` times.

@@ -94,9 +94,6 @@ class StorageIO:
         """Create/truncate ``path`` for writing."""
         return FileHandle(self, open(path, "wb"), path)
 
-    def open_append(self, path: str) -> FileHandle:
-        return FileHandle(self, open(path, "ab"), path)
-
     # -- primitive mutations (the instrumented seam) -------------------
     def _write(self, fobj, data: bytes, path: str) -> None:
         fobj.write(data)
